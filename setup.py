@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-This environment is offline with setuptools 65 and no ``wheel`` package, so
-PEP 517 editable installs (which build a wheel) fail.  ``pip install -e .
---no-use-pep517 --no-build-isolation`` uses this shim instead; all real
-metadata lives in pyproject.toml.
+The project has no packaging metadata: there is no ``pyproject.toml``, and
+this shim declares nothing.  The code runs from the source tree with
+``PYTHONPATH=src`` (see the Makefile and the CI workflow), so nothing needs
+installing.
 """
 
 from setuptools import setup

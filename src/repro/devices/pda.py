@@ -14,6 +14,7 @@ from repro.proxy.plugins import (
     DeviceImage,
     InputPlugin,
     OutputPlugin,
+    SessionContext,
     UniversalEvent,
 )
 from repro.uip.messages import PointerEvent
@@ -44,23 +45,40 @@ class PdaOutputPlugin(OutputPlugin):
     """Letterboxed box-filter downscale, 4-grey ordered dither, 2-bit pack.
 
     Ordered dithering is chosen over error diffusion because its pattern is
-    stable frame-to-frame — interactive updates do not shimmer.
+    stable frame-to-frame — interactive updates do not shimmer.  It also
+    makes every device pixel depend on its own source box alone, so each
+    push re-dithers only the block its damage touched and repacks only
+    those rows.
     """
 
+    def __init__(self, descriptor: DeviceDescriptor,
+                 context: SessionContext) -> None:
+        super().__init__(descriptor, context)
+        #: The dithered screen (letterbox included) and its packed rows.
+        self._dithered = np.zeros((self.screen.height, self.screen.width))
+        self._packed = np.zeros((self.screen.height,
+                                 (self.screen.width + 3) // 4),
+                                dtype=np.uint8)
+
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view = self.fit_view(frame)
-        target_w = max(1, int(frame.width * view.scale))
-        target_h = max(1, int(frame.height * view.scale))
-        scaled = (ops.scale_box(frame, target_w, target_h)
-                  if view.scale < 1.0
-                  else ops.scale_nearest(frame, target_w, target_h))
-        gray = ops.to_grayscale(scaled)
-        dithered = ops.ordered_dither(gray, levels=4)
-        canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + target_h,
-               view.offset_x:view.offset_x + target_w] = dithered
+        previous = self.view
+        rows, cols = self.update_luma(frame, dirty)
+        view = self.view
+        if view is not previous:
+            # a new view may move the letterbox: blank the screen;
+            # update_luma refreshed the whole plane, so the block below
+            # covers the picture
+            self._dithered[:] = 0.0
+            self._packed[:] = 0
+        ys = slice(view.offset_y + rows.start, view.offset_y + rows.stop)
+        xs = slice(view.offset_x + cols.start, view.offset_x + cols.stop)
+        self._dithered[ys, xs] = ops.ordered_dither(
+            self.luma[rows, cols], levels=4, origin=(rows.start, cols.start))
+        self._packed[ys] = np.frombuffer(
+            ops.pack_gray4(self._dithered[ys]), dtype=np.uint8).reshape(
+                -1, self._packed.shape[1])
         return DeviceImage(self.screen.width, self.screen.height, "gray4",
-                           ops.pack_gray4(canvas))
+                           self._packed.tobytes())
 
 
 class Pda(InteractionDevice):

@@ -73,19 +73,19 @@ class PhoneOutputPlugin(OutputPlugin):
     """Downscale to 128x128, Floyd-Steinberg to 1 bit, pack to bytes.
 
     Error diffusion wins on this tiny static screen: panel text stays far
-    more legible than with ordered dithering at 1 bit.
+    more legible than with ordered dithering at 1 bit.  Its error feeds
+    forward pixel by pixel, so only the downscale follows the damage; the
+    dither reruns over the whole kept luma plane.
     """
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view = self.fit_view(frame)
-        target_w = max(1, int(frame.width * view.scale))
-        target_h = max(1, int(frame.height * view.scale))
-        scaled = ops.scale_box(frame, target_w, target_h)
-        gray = ops.to_grayscale(scaled)
-        dithered = ops.floyd_steinberg(gray, levels=2)
+        self.update_luma(frame, dirty)
+        view = self.view
+        height, width = self.luma.shape
         canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + target_h,
-               view.offset_x:view.offset_x + target_w] = dithered
+        canvas[view.offset_y:view.offset_y + height,
+               view.offset_x:view.offset_x + width] = ops.floyd_steinberg(
+                   self.luma, levels=2)
         return DeviceImage(self.screen.width, self.screen.height, "mono1",
                            ops.pack_mono(canvas))
 

@@ -13,7 +13,14 @@ output device".  Concretely that is some composition of:
   (:func:`pack_mono`, :func:`pack_gray4`).
 
 Everything is numpy-vectorised except Floyd–Steinberg, whose error feedback
-is inherently serial per pixel (we vectorise per row where possible).
+is inherently serial per pixel (its inner loop runs on plain floats).
+
+The plug-ins redo only the part of the device image that a frame's damage
+touches, which needs block-wise operators that are exact: any run of
+:func:`box_average` output equals the same pixels of the full
+:func:`scale_box` (its box sums are integers), :func:`ordered_dither`
+takes the block's origin, and :func:`rgb_luma` matches the full plane for
+whole rows.
 """
 
 from __future__ import annotations
@@ -51,31 +58,58 @@ def scale_nearest(bitmap: Bitmap, width: int, height: int) -> Bitmap:
     return Bitmap.from_array(src[ys[:, None], xs[None, :]])
 
 
+def box_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source span ``[lo[i], hi[i])`` that output pixel ``i`` averages.
+
+    Resampling ``size`` source pixels to ``out`` output pixels gives output
+    pixel ``i`` the interval between points ``i`` and ``i + 1`` of
+    ``np.linspace(0, size, out + 1)``, widened to whole pixels (at least
+    one).  Both arrays are non-decreasing, so the outputs whose spans meet
+    a source interval form one contiguous run: that is what lets an output
+    plug-in redo only its damage.
+    """
+    edges = np.linspace(0, size, out + 1)
+    lo = np.floor(edges[:-1]).astype(np.intp)
+    hi = np.maximum(np.ceil(edges[1:]).astype(np.intp), lo + 1)
+    return lo, hi
+
+
+def box_average(pixels: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
+                cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mean of ``pixels`` over every box ``rows[i] x cols[j]``, rounded.
+
+    ``rows`` and ``cols`` are ``(lo, hi)`` span arrays as returned by
+    :func:`box_edges`, or any contiguous run of them.  Only the source
+    block the spans cover is read.  The box sums are separable integer
+    prefix sums (first down the rows, then across the columns), so they
+    are exact and every pixel is the same whichever run it is computed in.
+    """
+    (y_lo, y_hi), (x_lo, x_hi) = rows, cols
+    top, left = int(y_lo[0]), int(x_lo[0])
+    block = pixels[top:int(y_hi[-1]), left:int(x_hi[-1])]
+    h, w, c = block.shape
+    down = np.zeros((h + 1, w, c), dtype=np.int64)
+    np.cumsum(block, axis=0, dtype=np.int64, out=down[1:])
+    bands = down[y_hi - top] - down[y_lo - top]
+    across = np.zeros((len(y_lo), w + 1, c), dtype=np.int64)
+    np.cumsum(bands, axis=1, out=across[:, 1:])
+    sums = across[:, x_hi - left] - across[:, x_lo - left]
+    areas = ((y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]).astype(
+        np.float64)
+    return np.clip(np.rint(sums / areas[..., None]), 0, 255).astype(np.uint8)
+
+
 def scale_box(bitmap: Bitmap, width: int, height: int) -> Bitmap:
     """Box-filter (area-average) resample; much better for downscaling text.
 
-    Fully vectorised: an integral image plus fancy indexing computes every
-    output pixel's source-box average in one shot (this sits on the per-
-    frame output-plug-in path, so it must be fast).
+    Each output pixel is the rounded mean of its :func:`box_edges` span in
+    both axes, computed by :func:`box_average` from exact integer sums.
     """
     if width <= 0 or height <= 0:
         raise GraphicsError(f"scale target must be positive: {width}x{height}")
-    src = bitmap.pixels.astype(np.float64)
-    sh, sw = src.shape[:2]
-    y_edges = np.linspace(0, sh, height + 1)
-    x_edges = np.linspace(0, sw, width + 1)
-    # Integral image lets each output pixel average its source box in O(1).
-    integral = np.zeros((sh + 1, sw + 1, 3), dtype=np.float64)
-    integral[1:, 1:] = src.cumsum(axis=0).cumsum(axis=1)
-    y0s = np.floor(y_edges[:-1]).astype(int)
-    y1s = np.maximum(np.ceil(y_edges[1:]).astype(int), y0s + 1)
-    x0s = np.floor(x_edges[:-1]).astype(int)
-    x1s = np.maximum(np.ceil(x_edges[1:]).astype(int), x0s + 1)
-    sums = (integral[np.ix_(y1s, x1s)] - integral[np.ix_(y0s, x1s)]
-            - integral[np.ix_(y1s, x0s)] + integral[np.ix_(y0s, x0s)])
-    areas = ((y1s - y0s)[:, None] * (x1s - x0s)[None, :]).astype(np.float64)
-    out = sums / areas[..., None]
-    return Bitmap.from_array(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+    return Bitmap.from_array(box_average(
+        bitmap.pixels, box_edges(bitmap.height, height),
+        box_edges(bitmap.width, width)))
 
 
 def scale_to_fit(bitmap: Bitmap, max_width: int, max_height: int,
@@ -98,7 +132,18 @@ def scale_to_fit(bitmap: Bitmap, max_width: int, max_height: int,
 
 def to_grayscale(bitmap: Bitmap) -> np.ndarray:
     """(H, W) float64 luma in 0..255."""
-    return bitmap.pixels.astype(np.float64) @ _LUMA
+    return rgb_luma(bitmap.pixels)
+
+
+def rgb_luma(pixels: np.ndarray) -> np.ndarray:
+    """Luma of an (H, W, 3) array, as :func:`to_grayscale`.
+
+    The product runs through BLAS one row at a time, and the last bit of a
+    pixel's result can depend on the row's width.  A caller that refreshes
+    part of a luma plane must therefore pass whole rows to match the plane
+    it patches.
+    """
+    return pixels.astype(np.float64) @ _LUMA
 
 
 def gray_bitmap(gray: np.ndarray) -> Bitmap:
@@ -118,16 +163,23 @@ def quantize_levels(gray: np.ndarray, levels: int) -> np.ndarray:
 # -- dithering -----------------------------------------------------------------
 
 
-def ordered_dither(gray: np.ndarray, levels: int = 2) -> np.ndarray:
+def ordered_dither(gray: np.ndarray, levels: int = 2,
+                   origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Bayer 4x4 ordered dither to ``levels`` grey levels.
 
     Fast and stable frame-to-frame (no crawling error patterns), which is
-    why the PDA output plug-in prefers it for animation.
+    why the PDA output plug-in prefers it for animation.  Each pixel
+    depends only on its own luma and position, so a block whose top-left
+    pixel sits at ``origin`` = (row, column) of a larger image dithers to
+    exactly that image's dither of the same block.
     """
     if levels < 2:
         raise GraphicsError(f"need at least 2 levels: {levels}")
     h, w = gray.shape
-    threshold = (np.tile(BAYER_4X4, (h // 4 + 1, w // 4 + 1))[:h, :w] + 0.5) / 16.0
+    oy, ox = origin
+    bayer = BAYER_4X4[(oy + np.arange(h))[:, None] % 4,
+                      (ox + np.arange(w))[None, :] % 4]
+    threshold = (bayer + 0.5) / 16.0
     steps = levels - 1
     scaled = gray / 255.0 * steps
     dithered = np.floor(scaled + threshold)

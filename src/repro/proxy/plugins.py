@@ -17,6 +17,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
+from repro.graphics import ops
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.region import Rect
 from repro.proxy.descriptors import DeviceDescriptor, ScreenSpec
@@ -137,7 +140,9 @@ class OutputPlugin:
 
     Subclasses implement :meth:`transform`, and must keep
     ``context.view`` up to date so the input plug-in can invert the
-    geometry.
+    geometry.  Grey-screen plug-ins keep the frame's scaled luma plane
+    between calls (:meth:`update_luma`) and redo only what ``dirty``
+    touches.
     """
 
     def __init__(self, descriptor: DeviceDescriptor,
@@ -150,8 +155,21 @@ class OutputPlugin:
         self.context = context
         self.frames_out = 0
         self.bytes_out = 0
+        #: Box-filtered frame at the view's scale, its luma, and the view
+        #: and per-axis source spans they were computed for.
+        self.view: Optional[ViewTransform] = None
+        self.luma = np.zeros((0, 0))
+        self._scaled = np.zeros((0, 0, 3), dtype=np.uint8)
+        self._spans: tuple = ()
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
+        """Convert ``frame`` into the device image.
+
+        ``dirty`` bounds every pixel of ``frame`` that changed since this
+        plug-in's previous call: the union of all damage in between, and
+        the whole frame on the first call.  Outside it the frame equals
+        the one last transformed.
+        """
         raise NotImplementedError
 
     def process(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
@@ -182,3 +200,40 @@ class OutputPlugin:
         )
         self.context.view = view
         return view
+
+    def update_luma(self, frame: Bitmap, dirty: Rect) -> tuple[slice, slice]:
+        """Bring :attr:`luma` up to date with ``frame``; sets :attr:`view`.
+
+        The frame is box-filtered to the letterboxed view size (pixel for
+        pixel at scale 1).  Only the output rows and columns whose source
+        boxes meet ``dirty`` are filtered again, and only those rows are
+        grey-converted (whole rows, see :func:`ops.rgb_luma`).  A new view
+        (the first frame, or a frame of another size) replaces
+        :attr:`view` and refreshes the whole plane.  Returns the refreshed block as (rows, columns) of the
+        plane; it is empty when ``dirty`` misses the frame.
+        """
+        view = self.fit_view(frame)
+        if view != self.view:
+            self.view = view
+            height = max(1, int(frame.height * view.scale))
+            width = max(1, int(frame.width * view.scale))
+            self._spans = (ops.box_edges(frame.height, height),
+                           ops.box_edges(frame.width, width))
+            self._scaled = np.zeros((height, width, 3), dtype=np.uint8)
+            self.luma = np.zeros((height, width))
+            dirty = frame.bounds
+        dirty = dirty.intersect(frame.bounds)
+        if dirty.is_empty:
+            return slice(0, 0), slice(0, 0)
+        # the spans tile the frame in order: the outputs whose span meets
+        # [start, stop) run from the first span ending past ``start`` to
+        # the last one starting before ``stop``
+        (y_lo, y_hi), (x_lo, x_hi) = self._spans
+        rows = slice(int(np.searchsorted(y_hi, dirty.y, side="right")),
+                     int(np.searchsorted(y_lo, dirty.y2)))
+        cols = slice(int(np.searchsorted(x_hi, dirty.x, side="right")),
+                     int(np.searchsorted(x_lo, dirty.x2)))
+        self._scaled[rows, cols] = ops.box_average(
+            frame.pixels, (y_lo[rows], y_hi[rows]), (x_lo[cols], x_hi[cols]))
+        self.luma[rows] = ops.rgb_luma(self._scaled[rows])
+        return rows, cols

@@ -450,6 +450,10 @@ class ProxySession:
         if self._deferred_push.is_empty:
             return
         endpoint = self.output_binding.endpoint
+        if not endpoint.is_open:
+            # nothing can be sent: keep the damage, so the plug-in still
+            # sees all of it (and counts no frame) on its next call
+            return
         if self.proxy.backpressure and not endpoint.writable:
             # The device bearer is saturated (a phone link mid-frame):
             # hold the damage merged in ``_deferred_push``; the endpoint's
@@ -463,10 +467,8 @@ class ProxySession:
         self._deferred_push = Region()
         image = self.output_plugin.process(self.upstream.framebuffer,
                                            bounds)
-        if endpoint.is_open:
-            endpoint.send(frame_chunks(
-                (bytes([LINK_TAG_IMAGE]), image.encode())))
-            self.frames_pushed += 1
+        endpoint.send(frame_chunks((bytes([LINK_TAG_IMAGE]), image.encode())))
+        self.frames_pushed += 1
 
     def _on_bell(self) -> None:
         """Forward a server bell to the output device as a beep."""

@@ -9,7 +9,7 @@ from repro.appliances import (
     Television,
     VideoRecorder,
 )
-from repro.context import UserSituation
+from repro.context import Activity, PreferenceStore, UserSituation
 from repro.devices import (
     CellPhone,
     Pda,
@@ -19,6 +19,7 @@ from repro.devices import (
     WallDisplay,
 )
 from repro.havi import FcmType
+from repro.proxy.plugins import SessionContext
 from repro.toolkit import Label, ListBox, Slider, TabPanel, ToggleButton
 from repro.uip import keysyms
 
@@ -41,7 +42,8 @@ class TestApplicationUI:
         assert home.app.appliances[0].name == "TV"
         assert not isinstance(home.window.root, TabPanel)
         # tuner panel widgets exist
-        guid8 = home.app.appliances[0].guid[:8]
+        guid8 = next(a.guid for a in home.app.appliances
+                     if a.name == "TV")[:8]
         assert home.window.root.find(f"{guid8}.tuner.power") is not None
 
     def test_two_appliances_compose_tabs(self):
@@ -311,3 +313,97 @@ class TestTransparency:
         assert local == remote
         assert local["power"] is True
         assert local["channel"] == 4  # 1 -> 3 -> 4 through broadcast list
+
+
+class TestDeviceScreensFollowTheFrame:
+    """The PDA and phone plug-ins redo only the damage the proxy passes
+    them, so that damage must be complete: after every settle, the
+    selected device shows exactly what a fresh plug-in makes of the
+    session's upstream mirror."""
+
+    BEDROOM = UserSituation(location="bedroom", activity=Activity.READING,
+                            seated=True)
+    OUTSIDE = UserSituation(location="outside")
+
+    def _home(self):
+        prefs = PreferenceStore(user="resident")
+        prefs.rule("reading in bed with the PDA",
+                   lambda s: s.location == "bedroom", pda=3.0)
+        prefs.rule("out of the house: the phone",
+                   lambda s: s.location == "outside", phone=4.0)
+        home = Home(resilience=True, preferences=prefs)
+        for appliance in (Television("TV"), VideoRecorder("VCR"),
+                          DimmableLight("Lamp")):
+            home.add_appliance(appliance)
+        devices = {"pda": Pda("pda", home.scheduler),
+                   "phone": CellPhone("phone", home.scheduler)}
+        for device in devices.values():
+            home.add_device(device)
+        home.settle()
+        return home, devices
+
+    def _assert_screen_matches(self, home, devices):
+        home.settle()
+        device = devices[home.proxy.current_output]
+        frame = home.session.upstream.framebuffer
+        fresh = device.output_plugin_factory(device.descriptor,
+                                             SessionContext())
+        assert device.screen_image == fresh.process(frame, frame.bounds)
+
+    def _tap(self, home, pda, widget_id):
+        widget = home.window.root.find(widget_id)
+        pda.tap(*home.session.context.view.to_device(
+            *widget.abs_rect().center))
+
+    def test_tour_over_pda_and_phone(self):
+        home, devices = self._home()
+        pda, phone = devices["pda"], devices["phone"]
+        user = home.default_user
+        check = lambda: self._assert_screen_matches(home, devices)
+        guid8 = next(a.guid for a in home.app.appliances
+                     if a.name == "TV")[:8]
+
+        tuner = home.appliances["TV"].dcm.fcm_by_type(FcmType.TUNER)
+        user.set_situation(self.BEDROOM)
+        user.show_appliance("TV")
+        check()
+        assert home.proxy.current_output == "pda"
+        self._tap(home, pda, f"{guid8}.tuner.power")        # toggle on
+        check()
+        assert tuner.get_state("power") is True
+        user.show_appliance("Lamp")                          # tab switch
+        check()
+        user.show_appliance("VCR")
+        check()
+        user.show_appliance("TV")
+        check()
+        self._tap(home, pda, f"{guid8}.tuner.power")        # toggle off
+        check()
+        assert tuner.get_state("power") is False
+
+        user.set_situation(self.OUTSIDE)                     # handoff
+        check()
+        assert home.proxy.current_output == "phone"
+        frames = phone.frames_received
+        for key in "5*5#6":                                  # toggle, focus,
+            phone.press(key)                                 # tab switch
+            check()
+        assert phone.frames_received > frames
+
+        # the upstream dies; state changes while the proxy reconnects, and
+        # the resumed session's one full-frame resync must carry it
+        old_upstream = home.session.upstream
+        old_upstream.endpoint.abort()
+        home.submit_command("TV", "volume.set", {"volume": 40})
+        user.show_appliance("Lamp")
+        check()
+        assert home.session.upstream is not old_upstream
+        assert home.session.resilience.reconnect_count == 1
+        phone.press("5")
+        check()
+
+        user.set_situation(self.BEDROOM)                     # hand back
+        check()
+        assert home.proxy.current_output == "pda"
+        user.show_appliance("TV")
+        check()

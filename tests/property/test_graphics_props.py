@@ -1,10 +1,10 @@
 """Property-based tests for the graphics substrate invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB332, RGB565, RGB888, Rect, Region
+from repro.graphics import RGB332, RGB565, RGB888, Bitmap, Rect, Region
 from repro.graphics import ops
 
 rect_strategy = st.builds(
@@ -190,6 +190,47 @@ gray_arrays = st.integers(1, 16).flatmap(
         )
     )
 )
+
+
+def box_reference(pixels, width, height):
+    """scale_box by definition: one source-box mean per output pixel."""
+    sh, sw = pixels.shape[:2]
+    y_edges = np.linspace(0, sh, height + 1)
+    x_edges = np.linspace(0, sw, width + 1)
+    out = np.zeros((height, width, 3), dtype=np.uint8)
+    for i in range(height):
+        y0 = int(np.floor(y_edges[i]))
+        y1 = max(int(np.ceil(y_edges[i + 1])), y0 + 1)
+        for j in range(width):
+            x0 = int(np.floor(x_edges[j]))
+            x1 = max(int(np.ceil(x_edges[j + 1])), x0 + 1)
+            area = (y1 - y0) * (x1 - x0)
+            for c in range(3):
+                total = sum(int(v) for v in pixels[y0:y1, x0:x1, c].flat)
+                out[i, j, c] = min(255, max(0, round(total / area)))
+    return out
+
+
+dims = st.integers(1, 40)
+
+
+class TestScaleBoxProperties:
+    @given(dims, dims, dims, dims, st.integers(0, 2 ** 32 - 1))
+    @example(480, 360, 128, 96, 0)   # the phone's 3.75x downscale
+    @example(1, 1, 1, 1, 0)
+    @example(1, 1, 3, 2, 0)          # upscale a single pixel
+    @example(17, 13, 17, 13, 0)      # 1:1 is the identity
+    @example(9, 30, 4, 41, 0)        # down in x, up in y
+    @settings(max_examples=60, deadline=None)
+    def test_scale_box_matches_per_pixel_reference(self, sw, sh, dw, dh,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, (sh, sw, 3), dtype=np.uint8)
+        # a two-value patch puts some box means exactly on .5 ties
+        pixels[: sh // 2, : sw // 2] = np.where(
+            rng.integers(0, 2, (sh // 2, sw // 2, 1)), 255, 0)
+        out = ops.scale_box(Bitmap.from_array(pixels), dw, dh)
+        assert np.array_equal(out.pixels, box_reference(pixels, dw, dh))
 
 
 class TestDitherProperties:

@@ -421,6 +421,27 @@ class TestOps:
         out = ops.scale_box(self._gradient(4, 4), 8, 8)
         assert out.size == (8, 8)
 
+    def test_box_average_of_a_span_run_matches_the_full_scale(self):
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, (90, 120, 3), dtype=np.uint8)
+        full = ops.scale_box(Bitmap.from_array(pixels), 32, 24).pixels
+        (y_lo, y_hi), (x_lo, x_hi) = ops.box_edges(90, 24), ops.box_edges(
+            120, 32)
+        for rows, cols in [(slice(0, 24), slice(0, 32)),
+                           (slice(5, 6), slice(31, 32)),
+                           (slice(3, 17), slice(8, 20))]:
+            block = ops.box_average(pixels, (y_lo[rows], y_hi[rows]),
+                                    (x_lo[cols], x_hi[cols]))
+            assert np.array_equal(block, full[rows, cols])
+
+    def test_box_edges_tile_the_source_in_order(self):
+        for size, out in [(360, 96), (7, 3), (3, 7), (1, 4), (10, 1)]:
+            lo, hi = ops.box_edges(size, out)
+            assert lo[0] == 0 and hi[-1] == size
+            assert np.all(hi > lo)
+            assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+            assert np.all(lo[1:] <= hi[:-1])  # no source row left out
+
     def test_scale_to_fit_aspect(self):
         src = Bitmap(100, 50)
         out = ops.scale_to_fit(src, 40, 40)
@@ -471,6 +492,22 @@ class TestOps:
         gray = np.full((32, 32), 100.0)
         out = dither(gray, levels=2)
         assert abs(out.mean() - 100.0) < 16.0
+
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_ordered_dither_of_a_block_matches_the_whole_image(self, levels):
+        gray = np.random.default_rng(levels).uniform(0, 255, (23, 37))
+        whole = ops.ordered_dither(gray, levels)
+        for oy, ox, h, w in [(0, 0, 23, 37), (1, 2, 5, 7), (6, 13, 17, 24),
+                             (22, 36, 1, 1), (3, 0, 4, 37)]:
+            block = ops.ordered_dither(gray[oy:oy + h, ox:ox + w], levels,
+                                       origin=(oy, ox))
+            assert np.array_equal(block, whole[oy:oy + h, ox:ox + w])
+
+    def test_rgb_luma_of_whole_rows_matches_the_full_plane(self):
+        pixels = np.random.default_rng(3).integers(0, 256, (40, 128, 3),
+                                                   dtype=np.uint8)
+        full = ops.to_grayscale(Bitmap.from_array(pixels))
+        assert np.array_equal(ops.rgb_luma(pixels[11:29]), full[11:29])
 
     def test_floyd_steinberg_beats_quantize_on_gradient(self):
         gray = np.tile(np.linspace(0, 255, 64), (16, 1))

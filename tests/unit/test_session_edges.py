@@ -3,6 +3,7 @@
 import pytest
 
 from repro.devices import Pda, TvDisplay, VoiceInput
+from repro.graphics import Rect, Region
 from repro.net import make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -158,6 +159,25 @@ class TestDeviceCloseReentrancy:
         proxy.select_output("tv")
         scheduler.run_until_idle()
         assert tv.frames_received >= 1
+
+    def test_closed_output_leg_transforms_nothing_and_keeps_the_damage(self):
+        """A push onto a closed device leg runs no transform: the plug-in's
+        frame and byte counters count only frames that were sent, and the
+        damage waits in the session for the plug-in's next call."""
+        scheduler, display, window, proxy, session = stack()
+        pda = Pda("pda", scheduler)
+        pda.connect(proxy)
+        proxy.select_output("pda")
+        scheduler.run_until_idle()
+        plugin = session.output_plugin
+        counts = (plugin.frames_out, plugin.bytes_out, session.frames_pushed)
+        assert counts[0] == counts[2] >= 1
+        proxy.binding("pda").endpoint.close()
+        damage = Rect(10, 20, 30, 5)
+        session.upstream.on_update(Region([damage]))
+        assert (plugin.frames_out, plugin.bytes_out,
+                session.frames_pushed) == counts
+        assert session._deferred_push.bounds() == damage
 
 
 class TestPointerHover:
