@@ -10,7 +10,9 @@ The *before* side is the seed's scalar implementation (per-tile
 comparison stays honest on any machine.  ``test_encode_core_speedup_and_
 records`` writes BENCH_ENCODE_CORE.json with before/after timings for the
 solid, panel-churn and noise workloads at 480x360 and 1280x720, plus the
-frame differ's bytes-on-wire ablation for the unchanged-redraw workload.
+frame differ's bytes-on-wire ablation for the unchanged-redraw workload,
+the tiered-compression rows, and the encode cost per rect of one
+link-adaptive Bluetooth session under label churn (``link_adaptive_churn``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import panel_frame
+from benchmarks.conftest import drive_eager_churn, panel_frame
 from repro.graphics import Bitmap, RGB888, default_font
-from repro.net import CELLULAR_PDC, ETHERNET_100, LOOPBACK, make_pipe
+from repro.net import (
+    BLUETOOTH_1,
+    CELLULAR_PDC,
+    ETHERNET_100,
+    LOOPBACK,
+    make_pipe,
+)
 from repro.net.link import compression_tier
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
@@ -41,6 +49,7 @@ from repro.uip import (
     best_encoding,
     encode_rect,
 )
+from repro.uip import encodings as encodings_module
 from repro.uip.encodings import (
     _HEX_BG,
     _HEX_COLOURED,
@@ -285,6 +294,58 @@ def _redraw_round(scheduler, labels) -> None:
     scheduler.run_until_idle()
 
 
+def _link_adaptive_churn(seconds: float) -> dict:
+    """One link-adaptive Bluetooth session under label churn.
+
+    Every ``encode_rect`` call is counted (the probes' trials, the
+    remembered winners' single encodes), so ``encodes_per_rect`` is the
+    selection's whole encode cost per rect that reached the wire.
+    """
+    calls = {"n": 0}
+    original = encodings_module.encode_rect
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    encodings_module.encode_rect = counted
+    try:
+        start = time.perf_counter()
+        scheduler = Scheduler()
+        display = DisplayServer(480, 360)
+        window = UIWindow(480, 360)
+        column = Column()
+        labels = [column.add(Label(f"row {i}")) for i in range(12)]
+        window.set_root(column)
+        display.map_fullscreen(window)
+        server = UniIntServer(display, scheduler, backpressure=True,
+                              link_adaptive=True)
+        pipe = make_pipe(scheduler, BLUETOOTH_1, name="bluetooth-viewer")
+        session = server.accept(pipe.a)
+        client = UniIntClient(pipe.b)
+        drive_eager_churn(scheduler, labels, [client], seconds,
+                          poll_every=0.01, churn_every=0.02)
+        scheduler.run_until_idle()
+        elapsed = time.perf_counter() - start
+    finally:
+        encodings_module.encode_rect = original
+    assert client.framebuffer == display.framebuffer
+    stats = session.stats()
+    return {
+        "bearer": BLUETOOTH_1.name,
+        "sim_seconds": seconds,
+        "rects": stats["rects_sent"],
+        "encode_rect_calls": calls["n"],
+        "encodes_per_rect": calls["n"] / stats["rects_sent"],
+        "encode_probes": stats["encode_probes"],
+        "wire_bytes": client.endpoint.stats.bytes_received,
+        "tier": stats["link_health"].tier,
+        "rects_by_encoding": {_ENC_NAMES[e]: n for e, n in
+                              sorted(stats["rects_by_encoding"].items())},
+        "wall_s": elapsed,
+    }
+
+
 def test_encode_core_speedup_and_records(smoke):
     """Vectorized encoders must beat the seed's scalar ones >= 3x (HEXTILE)
     and >= 2x (RRE) on panel churn with payloads no larger; the frame
@@ -381,14 +442,20 @@ def test_encode_core_speedup_and_records(smoke):
             chosen = candidates[0]  # cheap link: static pick, no trials
         else:
             costs: dict = {}
-            chosen = best_encoding(state, frames[-1], candidates,
-                                   profile=profile, encode_costs=costs)
+            chosen, _ = best_encoding(state, frames[-1], candidates,
+                                      profile=profile, encode_costs=costs)
         results["adaptive_selection"][profile.name] = {
             "tier": link_tier,
             "chosen": _ENC_NAMES[chosen],
         }
     assert (results["adaptive_selection"]["loopback"]["chosen"]
             != results["adaptive_selection"]["cellular-pdc"]["chosen"])
+
+    # link-adaptive session cost: encodes spent per rect sent, counted at
+    # the public encode_rect entry point (probe trials included)
+    results["link_adaptive_churn"] = _link_adaptive_churn(
+        seconds=1.0 if smoke else 6.0)
+    assert results["link_adaptive_churn"]["encodes_per_rect"] <= 1.5
 
     # written in smoke mode too (tiny workloads, still every key): the
     # bench-smoke CI job asserts the compression keys are present
@@ -400,7 +467,9 @@ def test_encode_core_speedup_and_records(smoke):
         "pixel_format": "rgb888",
         "workloads": ["solid", "panel-churn", "noise",
                       "unchanged-redraw (480x360, 12-label panel)",
-                      "churn sequence (480x360, phone bearer)"],
+                      "churn sequence (480x360, phone bearer)",
+                      "link-adaptive churn (480x360, 12-label panel, "
+                      "bluetooth bearer)"],
         "timing": "best of 3",
         "smoke": bool(smoke),
         **results,

@@ -92,6 +92,11 @@ _TIER_CANDIDATES = {
 #: Sends withheld at one tier before a link-adaptive session escalates.
 _ESCALATE_AFTER = 3
 
+#: Rects of one size class a link-adaptive session encodes per full probe
+#: of its candidates: the probe's winner is reused for the next
+#: ``_REPROBE_EVERY - 1`` rects of that class.
+_REPROBE_EVERY = 16
+
 
 @dataclass(frozen=True)
 class LinkHealth:
@@ -296,6 +301,10 @@ class ServerSession:
         #: Measured per-encoding encode seconds (EMA), the cost model's
         #: CPU term.
         self._encode_costs: dict[int, float] = {}
+        #: Link-adaptive winner per rect size class (see
+        #: _select_encoding): [encoding, rects encoded since its probe,
+        #: probed payload bytes per pixel].
+        self._choices: dict[tuple, list] = {}
         #: True once backpressure proved the declared profile optimistic:
         #: selection then minimises wire bytes outright.
         self._wire_constrained = False
@@ -321,6 +330,12 @@ class ServerSession:
         self.key_events = 0
         self.pointer_events = 0
         self.pings_answered = 0
+        #: Full link-adaptive candidate probes run (``best_encoding``).
+        self.encode_probes = 0
+        #: Encodes spent on this session's rects, probe trials included
+        #: (pixels left to the update's encode count once, even when the
+        #: shared-encode broadcast serves them from another session).
+        self.rect_encodes = 0
         # backpressure statistics (bench_backpressure): sends withheld
         # because the link was saturated, and the raw-equivalent bytes of
         # the damage folded back into ``_pending`` at each withholding.
@@ -454,39 +469,78 @@ class ServerSession:
 
         Tier preference intersected with what the client offered; called
         whenever either side changes (SetEncodings, resume, escalation).
+        Remembered winners are forgotten with the list they came from.
         """
         offered = set(self.encodings)
         self._candidates = tuple(
             e for e in _TIER_CANDIDATES[self._tier] if e in offered
         ) or (enc.RAW,)
+        self._choices.clear()
 
     def _encode_rect(self, packed) -> tuple[int, object]:
-        """(encoding, payload-array) for one rect, honouring adaptive modes.
+        """(encoding, payload) for one rect, honouring adaptive modes.
 
-        Link-adaptive mode scores the tier's candidates with the bearer
-        cost model (wire seconds + measured encode seconds); stateful
-        codecs are trialled on stream clones, so losing trials never touch
-        the live zlib stream.  Tier 0 skips the trials entirely — on a
-        link where bytes are free, the first preferred codec wins outright.
-        Classic adaptive mode keeps its original smallest-of-stateless
-        behaviour.
+        The payload is the encoded bytes when selection already produced
+        them, otherwise the packed pixels, encoded with the update.
+        Link-adaptive mode with a choice to make goes through
+        :meth:`_select_encoding`.  Tier 0 skips the trials entirely — on a
+        link where bytes are free, the first preferred codec wins
+        outright.  Classic adaptive mode keeps its original
+        smallest-of-stateless behaviour.
         """
         if self.server.link_adaptive:
             candidates = self._candidates
-            if len(candidates) == 1 or self._tier == 0:
-                return (candidates[0], packed)
-            profile = (None if self._wire_constrained else self.link_profile)
-            return (enc.best_encoding(self._encoder, packed, candidates,
-                                      profile=profile,
-                                      encode_costs=self._encode_costs),
-                    packed)
-        if self.server.adaptive:
+            if len(candidates) > 1 and self._tier != 0:
+                return self._select_encoding(packed, candidates)
+            encoding = candidates[0]
+        elif self.server.adaptive:
             candidates = tuple(
                 e for e in self.encodings
                 if e in (enc.RAW, enc.RRE, enc.HEXTILE)) or (enc.RAW,)
-            return (enc.best_encoding(self._encoder, packed, candidates),
-                    packed)
-        return (self._pick_encoding(), packed)
+            encoding, _ = enc.best_encoding(self._encoder, packed,
+                                            candidates)
+            self.rect_encodes += len(candidates)
+        else:
+            encoding = self._pick_encoding()
+        self.rect_encodes += 1
+        return (encoding, packed)
+
+    def _select_encoding(self, packed,
+                         candidates: tuple[int, ...]) -> tuple[int, bytes]:
+        """Link-adaptive (encoding, payload bytes) for one rect.
+
+        The first rect of a size class, and every
+        :data:`_REPROBE_EVERY`-th after it, runs the full probe: the
+        tier's candidates are scored with the bearer cost model (wire
+        seconds + measured encode seconds, the EMA learning from each
+        probe), and the winning trial's bytes are sent as they are.  The
+        rects in between are encoded once, with the class's remembered
+        winner.  A size class is the rect's area bucketed in powers of 4,
+        split by whether the rect is one colour (flat fills favour other
+        codecs than text does).  A remembered stateless winner whose
+        payload comes out over twice the probed bytes per pixel met
+        content unlike the probed rect's: that rect is probed instead.
+        """
+        size_class = ((packed.size.bit_length() - 1) // 2,
+                      bool((packed == packed.flat[0]).all()))
+        choice = self._choices.get(size_class)
+        if choice is not None and choice[1] < _REPROBE_EVERY:
+            encoding, _, per_px = choice
+            payload = enc.encode_rect(self._encoder, packed, encoding)
+            self.rect_encodes += 1
+            if (encoding in enc.STATEFUL_ENCODINGS
+                    or len(payload) <= 2 * per_px * packed.size):
+                choice[1] += 1
+                return (encoding, payload)
+        profile = None if self._wire_constrained else self.link_profile
+        encoding, payload = enc.best_encoding(
+            self._encoder, packed, candidates, profile=profile,
+            encode_costs=self._encode_costs)
+        self._choices[size_class] = [encoding, 1,
+                                     len(payload) / packed.size]
+        self.encode_probes += 1
+        self.rect_encodes += len(candidates)
+        return (encoding, payload)
 
     def _on_writable(self) -> None:
         """Link credit freed up: retry a send deferred by backpressure."""
@@ -580,6 +634,8 @@ class ServerSession:
             "key_events": self.key_events,
             "pointer_events": self.pointer_events,
             "pings_answered": self.pings_answered,
+            "encode_probes": self.encode_probes,
+            "rect_encodes": self.rect_encodes,
             "rects_by_encoding": dict(self.rects_by_encoding),
             "link_health": self.link_health(),
         }
@@ -653,8 +709,9 @@ class UniIntServer:
         #: Per-link adaptive encoder selection: each session seeds its
         #: compression tier and candidate order from its transport's
         #: LinkProfile, scores candidates with the bearer cost model
-        #: (trialling stateful codecs on stream clones), and escalates
-        #: tiers as backpressure accumulates.  Off by default: wire
+        #: (trialling stateful codecs on stream clones, sending the
+        #: winning trial, reusing the winner for the next rects of its
+        #: size class), and escalates tiers as backpressure accumulates.  Off by default: wire
         #: behaviour is then bit-identical to the pre-tier server.
         self.link_adaptive = link_adaptive
         #: Encode each update once per (surface, pixel format, rect list)

@@ -83,7 +83,7 @@ class EncodeCache:
     """Content-keyed LRU of encoded rect payloads.
 
     Keys are ``(encoding, pixel_format, shape, digest-of-pixels)`` — plus
-    the compression tier for tiered codecs — so a hit is only possible when
+    the RLE flag for ZRLE tile streams — so a hit is only possible when
     the exact same pixels are re-encoded with the same parameters:
     re-damaged-but-unchanged tiles (blinking widgets, toggling panels) skip
     the whole encode.  ZLIB payloads are never cached (the persistent
@@ -171,6 +171,10 @@ class EncoderState:
         self.cache = cache if cache is not None else (
             EncodeCache() if use_cache else None)
         self._scratch: np.ndarray | None = None
+        # What each trial encode at the current stream position needs to
+        # become the real one: encoding -> (cache key, cache entry,
+        # deflater clone).  Filled by trials, consumed by commit_trial.
+        self._trials: dict[int, tuple] = {}
 
     @property
     def level(self) -> int:
@@ -223,6 +227,25 @@ class EncoderState:
         """
         return self._deflater.copy()
 
+    def commit_trial(self, encoding: int) -> None:
+        """Make the latest trial encode of ``encoding`` the real one.
+
+        Called by ``best_encoding`` right after its trials, before any
+        other encode on this state.  A stateful trial's deflater clone
+        becomes the live stream, so the peer's inflater sees exactly the
+        bytes the trial produced and the next rect continues from there;
+        the winner's cache entry (its payload, or ZRLE's tile stream) is
+        stored as a real encode would store it.  The other trials are
+        dropped.
+        """
+        key, entry, deflater = self._trials.pop(encoding)
+        self._trials.clear()
+        if deflater is not None:
+            self._deflater = deflater
+            self._deflate_started = True
+        if key is not None and self.cache.get(key) is None:
+            self.cache.put(key, entry)
+
     def deflate(self, data: bytes, deflater=None) -> bytes:
         if deflater is None:
             deflater = self._deflater
@@ -244,17 +267,26 @@ class EncoderState:
         np.copyto(self._scratch, packed)
         return self._scratch
 
-    def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
+    def pixel_digest(self, packed: np.ndarray) -> bytes:
+        """The content digest cache keys carry; hash once per rect and
+        pass it to :meth:`cache_key` for every candidate encoding."""
+        return hashlib.blake2b(
+            self.contiguous(packed).data, digest_size=16).digest()
+
+    def cache_key(self, packed: np.ndarray, encoding: int,
+                  digest: bytes | None = None) -> tuple:
         """The content key ``encode_rect`` caches payloads under.
 
-        Tiered codecs get the tier in the key: a ZRLE tile stream built
-        with tier-0 parameters (no RLE search) must never satisfy a tier-2
-        session sharing the same cache.
+        ZRLE tile streams are keyed by the RLE flag of the tier that built
+        them: tiers 1 and 2 build identical streams and share them, while
+        a tier-0 stream (no RLE search) never satisfies an RLE tier.
+        ``digest`` is :meth:`pixel_digest` of ``packed``, computed here
+        when not given.
         """
-        digest = hashlib.blake2b(
-            self.contiguous(packed).data, digest_size=16).digest()
-        if encoding in STATEFUL_ENCODINGS:
-            return (encoding, self.tier, self.pixel_format, packed.shape,
+        if digest is None:
+            digest = self.pixel_digest(packed)
+        if encoding == ZRLE:
+            return (encoding, self.rle, self.pixel_format, packed.shape,
                     digest)
         return (encoding, self.pixel_format, packed.shape, digest)
 
@@ -691,11 +723,6 @@ def decode_hextile(cursor: Cursor, width: int, height: int,
 # -- ZLIB --------------------------------------------------------------------------
 
 
-def encode_zlib(state: EncoderState, packed: np.ndarray) -> bytes:
-    compressed = state.deflate(state.contiguous(packed).tobytes())
-    return Writer().u32(len(compressed)).raw(compressed).getvalue()
-
-
 def decode_zlib(state: DecoderState, cursor: Cursor, width: int,
                 height: int, pf: PixelFormat) -> np.ndarray:
     length = cursor.u32()
@@ -962,14 +989,6 @@ def decode_zrle_tiles(data: bytes, width: int, height: int,
     return out
 
 
-def encode_zrle(state: EncoderState, packed: np.ndarray,
-                deflater=None) -> bytes:
-    tiles = encode_zrle_tiles(state.contiguous(packed), state.pixel_format,
-                              rle=state.rle)
-    compressed = state.deflate(tiles, deflater)
-    return Writer().u32(len(compressed)).raw(compressed).getvalue()
-
-
 def decode_zrle(state: DecoderState, cursor: Cursor, width: int,
                 height: int, pf: PixelFormat) -> np.ndarray:
     length = cursor.u32()
@@ -980,62 +999,74 @@ def decode_zrle(state: DecoderState, cursor: Cursor, width: int,
 # -- top level ------------------------------------------------------------------------
 
 
+def _framed(compressed: bytes) -> bytes:
+    """A ZLIB/ZRLE payload: u32 length, then the compressed bytes."""
+    return Writer().u32(len(compressed)).raw(compressed).getvalue()
+
+
 def encode_rect(state: EncoderState, packed: np.ndarray,
-                encoding: int, *, trial: bool = False) -> bytes:
+                encoding: int, *, trial: bool = False,
+                digest: bytes | None = None) -> bytes:
     """Encode one rectangle's packed pixels as the given encoding's payload.
 
     For the stateless encodings (everything but ZLIB) the result is served
     from ``state.cache`` when the same pixels were encoded before — damage
     that re-exposes unchanged content costs one hash instead of a full
-    encode.
+    encode.  ``digest`` is ``state.pixel_digest(packed)`` when the caller
+    already has it (``best_encoding`` hashes once for all candidates).
 
-    ``trial=True`` marks a speculative encode (adaptive mode sizing the
-    candidates): the cache is consulted stats-neutrally and losing payloads
-    are never stored, so trials cannot evict live entries or skew hit/miss
-    counters.  For the stateful encodings (ZLIB, ZRLE) a trial compresses
-    through a throwaway clone of the live stream, so the real encode after
-    a trial is byte-identical to one with no trial at all.
+    ``trial=True`` marks a speculative encode (adaptive selection sizing
+    the candidates): the cache is consulted stats-neutrally and nothing is
+    stored, so trials cannot evict live entries or skew hit/miss counters.
+    For the stateful encodings (ZLIB, ZRLE) a trial compresses through a
+    throwaway clone of the live stream, leaving the live stream untouched.
+    Each trial is remembered on ``state`` until
+    :meth:`EncoderState.commit_trial` turns the winner into the real
+    encode — its payload then goes to the wire as it is.
     """
     if packed.ndim != 2:
         raise ProtocolError(f"packed array must be 2-D, got {packed.shape}")
+    cache = state.cache
+    key = entry = deflater = None
     if encoding == ZLIB:
         # position-dependent persistent stream: the payload is never cached
         deflater = state.trial_deflater() if trial else None
-        compressed = state.deflate(state.contiguous(packed).tobytes(),
-                                   deflater)
-        return Writer().u32(len(compressed)).raw(compressed).getvalue()
-    if encoding == ZRLE:
+        payload = _framed(state.deflate(state.contiguous(packed).tobytes(),
+                                        deflater))
+    elif encoding == ZRLE:
         # The tile stream is position-independent and cached (key includes
-        # the tier); only the final deflate is per-session and per-position.
-        cache = state.cache
-        key = state.cache_key(packed, ZRLE) if cache is not None else None
-        tiles = None
+        # the RLE flag); only the final deflate is per-session and
+        # per-position.
         if cache is not None:
-            tiles = cache.peek(key) if trial else cache.get(key)
-        if tiles is None:
-            tiles = encode_zrle_tiles(state.contiguous(packed),
+            key = state.cache_key(packed, ZRLE, digest)
+            entry = cache.peek(key) if trial else cache.get(key)
+        if entry is None:
+            entry = encode_zrle_tiles(state.contiguous(packed),
                                       state.pixel_format, rle=state.rle)
             if cache is not None and not trial:
-                cache.put(key, tiles)
+                cache.put(key, entry)
         deflater = state.trial_deflater() if trial else None
-        compressed = state.deflate(tiles, deflater)
-        return Writer().u32(len(compressed)).raw(compressed).getvalue()
-    cache = state.cache
-    key = state.cache_key(packed, encoding) if cache is not None else None
-    if cache is not None:
-        cached = cache.peek(key) if trial else cache.get(key)
-        if cached is not None:
-            return cached
-    if encoding == RAW:
-        payload = encode_raw(state.contiguous(packed))
-    elif encoding == RRE:
-        payload = encode_rre(packed, state.pixel_format)
-    elif encoding == HEXTILE:
-        payload = encode_hextile(packed, state.pixel_format)
+        payload = _framed(state.deflate(entry, deflater))
     else:
-        raise ProtocolError(f"cannot encode pixels as encoding {encoding}")
-    if cache is not None and not trial:
-        cache.put(key, payload)
+        payload = None
+        if cache is not None:
+            key = state.cache_key(packed, encoding, digest)
+            payload = cache.peek(key) if trial else cache.get(key)
+        if payload is None:
+            if encoding == RAW:
+                payload = encode_raw(state.contiguous(packed))
+            elif encoding == RRE:
+                payload = encode_rre(packed, state.pixel_format)
+            elif encoding == HEXTILE:
+                payload = encode_hextile(packed, state.pixel_format)
+            else:
+                raise ProtocolError(
+                    f"cannot encode pixels as encoding {encoding}")
+            if cache is not None and not trial:
+                cache.put(key, payload)
+        entry = payload
+    if trial:
+        state._trials[encoding] = (key, entry, deflater)
     return payload
 
 
@@ -1065,8 +1096,12 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
 
 def best_encoding(state: EncoderState, packed: np.ndarray,
                   candidates: tuple[int, ...] = (RAW, RRE, HEXTILE), *,
-                  profile=None, encode_costs: dict | None = None) -> int:
-    """Pick the best candidate encoding for this rect.
+                  profile=None,
+                  encode_costs: dict | None = None) -> tuple[int, bytes]:
+    """Pick the best candidate encoding for this rect and encode it.
+
+    Returns ``(encoding, payload)``: the winner's trial payload, which is
+    the real encode — send it as it is.
 
     Without ``profile`` the smallest payload wins (ties resolve to the
     lowest encoding number) — the legacy byte-greedy mode.  With a
@@ -1081,16 +1116,20 @@ def best_encoding(state: EncoderState, packed: np.ndarray,
     average, so the cost model learns each codec's real CPU price on this
     session's content.
 
-    Stateful codecs (ZLIB, ZRLE) are sized on a throwaway clone of the
-    live deflate stream, so trialling them is non-destructive.  Candidates
-    are sized as no-store *trials*; only a stateless winner's payload
-    enters the cache (a stateful winner's payload is position-dependent —
-    its real encode re-populates the ZRLE tile-stream cache instead).
+    The pixels are hashed once for all candidates.  Each candidate is a
+    no-store :func:`encode_rect` trial; stateful codecs (ZLIB, ZRLE) are
+    sized on a clone of the live deflate stream.  The winner is then
+    committed (:meth:`EncoderState.commit_trial`): a stateful winner's
+    clone becomes the live stream, so the wire bytes equal encoding the
+    winner directly, and only the winner's payload (or ZRLE tile stream)
+    enters the cache.
     """
+    digest = state.pixel_digest(packed) if state.cache is not None else None
     payloads = {}
     for encoding in candidates:
         began = time.perf_counter() if encode_costs is not None else 0.0
-        payloads[encoding] = encode_rect(state, packed, encoding, trial=True)
+        payloads[encoding] = encode_rect(state, packed, encoding, trial=True,
+                                         digest=digest)
         if encode_costs is not None:
             elapsed = time.perf_counter() - began
             prior = encode_costs.get(encoding)
@@ -1104,6 +1143,5 @@ def best_encoding(state: EncoderState, packed: np.ndarray,
         winner = min(payloads, key=lambda e: (
             profile.transmission_time(len(payloads[e])) + costs.get(e, 0.0),
             order[e]))
-    if winner not in STATEFUL_ENCODINGS and state.cache is not None:
-        state.cache.put(state.cache_key(packed, winner), payloads[winner])
-    return winner
+    state.commit_trial(winner)
+    return winner, payloads[winner]

@@ -185,8 +185,11 @@ class ResumeSession:
 class RectUpdate:
     """One rectangle of a framebuffer update.
 
-    ``payload`` is a packed pixel array for pixel encodings, an (src_x,
-    src_y) tuple for COPYRECT, or a (width, height) tuple for DESKTOP_SIZE.
+    ``payload`` is, for pixel encodings, either a packed pixel array
+    (encoded when the message is) or the already-encoded payload bytes
+    (written as they are: link-adaptive selection hands over its winning
+    trial); an (src_x, src_y) tuple for COPYRECT; or a (width, height)
+    tuple for DESKTOP_SIZE.  Decoded updates always carry packed arrays.
     """
 
     rect: Rect
@@ -217,6 +220,8 @@ class FramebufferUpdate:
                 writer.raw(enc.encode_copyrect(src_x, src_y))
             elif update.encoding == enc.DESKTOP_SIZE:
                 pass  # size travels in the rect header itself
+            elif isinstance(update.payload, bytes):
+                writer.raw(update.payload)
             else:
                 writer.raw(enc.encode_rect(
                     state, update.payload, update.encoding))

@@ -6,14 +6,14 @@ max compression) while the loopback leg takes the cheap path (HEXTILE,
 no trial encodes at all) — and both client mirrors must stay exact.
 """
 
-import pytest
+from collections import Counter
 
 from repro.net import BLUETOOTH_1, CELLULAR_PDC, LOOPBACK, make_pipe
 from repro.net.link import compression_tier
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.toolkit import Column, Label, UIWindow
-from repro.uip import HEXTILE, ZRLE
+from repro.uip import HEXTILE, RAW, RRE, ZRLE, ResumeSession, SetEncodings
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 
@@ -37,6 +37,15 @@ def adaptive_stack(profile, *, width=320, height=240, rows=10):
 
 def drive_churn(scheduler, labels, client, seconds=8.0,
                 poll_every=0.05, churn_every=0.1):
+    schedule_churn(scheduler, labels, client, seconds, poll_every,
+                   churn_every)
+    scheduler.run_for(seconds)
+
+
+def schedule_churn(scheduler, labels, client, seconds=8.0,
+                   poll_every=0.05, churn_every=0.1):
+    """Arm the polling and relabelling timers for ``seconds``; the caller
+    runs the scheduler."""
     deadline = scheduler.now() + seconds
 
     def poll():
@@ -56,7 +65,6 @@ def drive_churn(scheduler, labels, client, seconds=8.0,
 
     scheduler.call_later(poll_every, poll)
     scheduler.call_later(churn_every, churn)
-    scheduler.run_for(seconds)
 
 
 def assert_mirror_exact(session, client):
@@ -141,3 +149,112 @@ class TestAdaptiveSelection:
             stats["link_health"] == session.link_health())
         assert stats["rects_by_encoding"] == dict(session.rects_by_encoding)
         assert stats["updates_sent"] == session.updates_sent
+
+
+def step_until(scheduler, predicate, limit=500_000):
+    """Run one event at a time until ``predicate()`` holds."""
+    for _ in range(limit):
+        if predicate():
+            return
+        if not scheduler.step():
+            break
+    assert predicate(), "condition never reached"
+
+
+def server_leg(server, scheduler, name):
+    """The client end of a fresh phone-bearer leg into ``server``."""
+    pipe = make_pipe(scheduler, CELLULAR_PDC, name=name)
+    server.accept(pipe.a)
+    return pipe.b
+
+
+def sent_since(session, before):
+    """Rects per encoding sent after the ``before`` snapshot."""
+    return Counter(session.rects_by_encoding) - before
+
+
+class TestRememberedChoice:
+    """Link-adaptive sessions probe the candidates on the first rect of a
+    size class and every few rects after; in between they reuse the
+    probe's winner.  A remembered winner never outlives the candidate
+    list it came from, so it can never send what the client withdrew."""
+
+    def test_churning_session_encodes_each_rect_about_once(self):
+        scheduler, labels, session, client = adaptive_stack(
+            BLUETOOTH_1, rows=12)
+        drive_churn(scheduler, labels, client, seconds=2.0,
+                    poll_every=0.01, churn_every=0.02)
+        scheduler.run_until_idle()
+        stats = session.stats()
+        assert stats["rects_sent"] > 200
+        assert 0 < stats["encode_probes"] < stats["rects_sent"] / 4
+        assert stats["rect_encodes"] <= 1.5 * stats["rects_sent"]
+        assert_mirror_exact(session, client)
+
+    def test_set_encodings_resets_the_choice(self):
+        scheduler, labels, session, client = adaptive_stack(CELLULAR_PDC)
+        drive_churn(scheduler, labels, client, seconds=2.0)
+        scheduler.run_until_idle()
+        assert session._choices
+        offer = (HEXTILE, RRE, RAW)
+        client.endpoint.send(SetEncodings(offer).encode())
+        scheduler.run_until_idle()
+        assert session._choices == {}
+        before = Counter(session.rects_by_encoding)
+        probes = session.encode_probes
+        drive_churn(scheduler, labels, client, seconds=2.0)
+        scheduler.run_until_idle()
+        assert session.encode_probes > probes
+        sent = sent_since(session, before)
+        assert sent and set(sent) <= set(offer)
+        assert {c[0] for c in session._choices.values()} <= set(offer)
+        assert_mirror_exact(session, client)
+
+    def test_resume_resets_the_choice_to_the_parked_offer(self):
+        scheduler = Scheduler()
+        display = DisplayServer(320, 240)
+        window = UIWindow(320, 240)
+        column = Column()
+        labels = [column.add(Label(f"row {i}")) for i in range(10)]
+        window.set_root(column)
+        display.map_fullscreen(window)
+        server = UniIntServer(display, scheduler, link_adaptive=True,
+                              resume_grace_s=30.0)
+        offer = (HEXTILE, RRE, RAW)
+        parked = UniIntClient(
+            server_leg(server, scheduler, "parked"), encodings=offer)
+        scheduler.run_until_idle()
+        token = parked.resume_token
+        parked.endpoint.abort()
+        scheduler.run_until_idle()
+        client = UniIntClient(server_leg(server, scheduler, "live"))
+        scheduler.run_until_idle()
+        session = server.sessions[0]
+        drive_churn(scheduler, labels, client, seconds=2.0)
+        scheduler.run_until_idle()
+        assert ZRLE in {c[0] for c in session._choices.values()}
+        client.endpoint.send(ResumeSession(token).encode())
+        scheduler.run_until_idle()
+        assert session.resumed and session.encodings == offer
+        assert session._choices == {}
+        before = Counter(session.rects_by_encoding)
+        drive_churn(scheduler, labels, client, seconds=2.0)
+        scheduler.run_until_idle()
+        sent = sent_since(session, before)
+        assert sent and set(sent) <= set(offer)
+        assert_mirror_exact(session, client)
+
+    def test_escalation_resets_the_choice_and_probes_afresh(self):
+        scheduler, labels, session, client = adaptive_stack(CELLULAR_PDC)
+        assert session._choices  # the first full frame was probed
+        schedule_churn(scheduler, labels, client, seconds=2.0,
+                       poll_every=0.01, churn_every=0.02)
+        step_until(scheduler, lambda: session.reevaluations == 1)
+        # the escalation fired on a withheld send: nothing was encoded
+        # since, and nothing of the old candidate order is remembered
+        assert session._choices == {}
+        probes, rects = session.encode_probes, session.rects_sent
+        step_until(scheduler, lambda: session.rects_sent > rects)
+        assert session.encode_probes > probes
+        scheduler.run_until_idle()
+        assert_mirror_exact(session, client)

@@ -4,7 +4,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB332, RGB565, RGB888, PixelFormat, Rect
+from repro.graphics import (
+    RGB332,
+    RGB565,
+    RGB888,
+    Bitmap,
+    PixelFormat,
+    Rect,
+    default_font,
+    draw,
+)
+from repro.net.link import BLUETOOTH_1, CELLULAR_PDC, LOOPBACK
 from repro.uip import (
     ClientCutText,
     ClientMessageDecoder,
@@ -20,6 +30,7 @@ from repro.uip import (
     SetEncodings,
     ZLIB,
     ZRLE,
+    best_encoding,
     decode_rect,
     encode_rect,
 )
@@ -199,6 +210,58 @@ client_messages = st.one_of(
         alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF),
         max_size=40)),
 )
+
+
+def _panel_pixels(seed: int) -> np.ndarray:
+    """A 128x96 control-panel frame (bevels, accent bars, captions)."""
+    rng = np.random.default_rng(seed)
+    bmp = Bitmap(128, 96, fill=(200, 200, 200))
+    font = default_font(1)
+    for row in range(4):
+        y = 4 + 23 * row
+        draw.bevel_box(bmp, Rect(4, y, 120, 20), face=(180, 180, 200),
+                       light=(250, 250, 250), shadow=(90, 90, 90))
+        if rng.integers(2):
+            bmp.fill_rect(Rect(64, y + 4, 40, 12),
+                          tuple(int(c) for c in rng.integers(0, 256, 3)))
+        font.draw(bmp, 8, y + 5, f"ROW {int(rng.integers(1000))}",
+                  (10, 10, 10))
+    return bmp.pixels
+
+
+class TestTrialCommitDifferential:
+    @given(st.data(), st.sampled_from([RGB888, RGB565, BE565]),
+           st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_committed_winners_equal_direct_encodes(self, data, fmt, tier):
+        """A session that sends each probe's winning trial, and encodes
+        directly between probes, puts the same bytes on the wire as a
+        control encoding the same choices directly; one persistent
+        decoder reproduces every rect."""
+        probed = EncoderState(fmt, tier=tier)
+        control = EncoderState(fmt, tier=tier)
+        decoder = DecoderState(fmt)
+        panel = _panel_pixels(data.draw(st.integers(0, 2**16)))
+        for _ in range(data.draw(st.integers(1, 6))):
+            x = data.draw(st.integers(0, 127))
+            y = data.draw(st.integers(0, 95))
+            w = data.draw(st.integers(1, 128 - x))
+            h = data.draw(st.integers(1, 96 - y))
+            packed = fmt.pack_array(panel[y:y + h, x:x + w])
+            if data.draw(st.booleans()):
+                candidates = tuple(data.draw(st.lists(
+                    codecs, min_size=1, max_size=5, unique=True)))
+                profile = data.draw(st.sampled_from(
+                    [None, LOOPBACK, BLUETOOTH_1, CELLULAR_PDC]))
+                encoding, payload = best_encoding(probed, packed, candidates,
+                                                  profile=profile)
+                assert encoding in candidates
+            else:
+                encoding = data.draw(codecs)
+                payload = encode_rect(probed, packed, encoding)
+            assert payload == encode_rect(control, packed, encoding)
+            out = decode_rect(decoder, Cursor(payload), w, h, encoding)
+            assert np.array_equal(out, packed)
 
 
 class TestStreamDecoding:

@@ -163,32 +163,70 @@ class TestCompression:
     def test_best_encoding_prefers_rre_on_flat(self):
         bmp = Bitmap(64, 64, fill=(1, 2, 3))
         state = EncoderState(RGB888)
-        assert best_encoding(state, RGB888.pack_array(bmp.pixels)) == RRE
+        winner, _ = best_encoding(state, RGB888.pack_array(bmp.pixels))
+        assert winner == RRE
 
     def test_best_encoding_prefers_raw_on_noise(self):
         state = EncoderState(RGB888)
         packed = RGB888.pack_array(noise_bitmap(48, 48).pixels)
-        assert best_encoding(state, packed) == RAW
+        winner, payload = best_encoding(state, packed)
+        assert winner == RAW
+        assert payload == packed.tobytes()
 
     def test_best_encoding_trials_stateful_candidates(self):
         """ZLIB-family candidates are sized on stream clones, not refused."""
         state = EncoderState(RGB888)
         packed = RGB888.pack_array(Bitmap(4, 4).pixels)
-        winner = best_encoding(state, packed, candidates=(RAW, ZLIB, ZRLE))
+        winner, payload = best_encoding(state, packed,
+                                        candidates=(RAW, ZLIB, ZRLE))
         assert winner in (RAW, ZLIB, ZRLE)
+        out = decode_rect(DecoderState(RGB888), Cursor(payload), 4, 4, winner)
+        assert np.array_equal(out, packed)
 
     def test_best_encoding_trial_then_encode_byte_identical(self):
-        """The satellite-1 regression: a losing (or winning) trial must
-        never advance the live zlib stream — encoding after a trial gives
-        the exact bytes an untrialled stream would."""
+        """A losing trial never advances the live zlib stream, and the
+        winning trial's bytes are exactly what encoding the winner would
+        have sent: the stream continues identically after each probe."""
         frames = [RGB888.pack_array(panel_bitmap(64, 48 + 16 * i).pixels)
                   for i in range(3)]
         trialled = EncoderState(RGB888, use_cache=False)
         control = EncoderState(RGB888, use_cache=False)
         for packed in frames:
-            best_encoding(trialled, packed, candidates=(HEXTILE, ZLIB, ZRLE))
+            winner, payload = best_encoding(
+                trialled, packed, candidates=(HEXTILE, ZLIB, ZRLE))
+            assert payload == encode_rect(control, packed, winner)
             assert (encode_rect(trialled, packed, ZRLE)
                     == encode_rect(control, packed, ZRLE))
+
+    def test_committed_trials_continue_the_stream(self):
+        """Sending each probe's winning trial as it is leaves the live
+        stream exactly where encoding that winner directly would: a
+        control state encoding the same winners emits the same wire bytes
+        rect after rect, and one persistent decoder reproduces them all,
+        whichever mix of stateful and stateless winners the probes pick."""
+        from repro.net.link import CELLULAR_PDC
+        frames = [RGB888.pack_array(panel_bitmap(64 + 8 * i, 48).pixels)
+                  for i in range(3)]
+        frames.append(RGB888.pack_array(noise_bitmap(24, 16).pixels))
+        plans = [((ZRLE, ZLIB, HEXTILE, RRE, RAW), CELLULAR_PDC),
+                 ((ZLIB, RAW), None), ((HEXTILE, RRE), None),
+                 ((ZLIB, ZRLE, RAW), None)]
+        probed = EncoderState(RGB888, tier=2)
+        control = EncoderState(RGB888, tier=2)
+        decoder = DecoderState(RGB888)
+        winners = []
+        for step in range(8):
+            packed = frames[step % len(frames)]
+            candidates, profile = plans[step % len(plans)]
+            winner, payload = best_encoding(probed, packed, candidates,
+                                            profile=profile)
+            winners.append(winner)
+            assert payload == encode_rect(control, packed, winner)
+            out = decode_rect(decoder, Cursor(payload), packed.shape[1],
+                              packed.shape[0], winner)
+            assert np.array_equal(out, packed)
+        assert {ZLIB, ZRLE} <= set(winners)
+        assert set(winners) - {ZLIB, ZRLE}  # stateless winners between
 
     def test_best_encoding_cost_model_follows_bearer(self):
         """Same pixels, different bearers, different winners: the phone
@@ -196,15 +234,15 @@ class TestCompression:
         from repro.net.link import CELLULAR_PDC, LOOPBACK
         packed = RGB888.pack_array(panel_bitmap(128, 128).pixels)
         state = EncoderState(RGB888, use_cache=False, tier=2)
-        phone = best_encoding(state, packed,
-                              candidates=(ZRLE, ZLIB, HEXTILE, RAW),
-                              profile=CELLULAR_PDC)
+        phone, _ = best_encoding(state, packed,
+                                 candidates=(ZRLE, ZLIB, HEXTILE, RAW),
+                                 profile=CELLULAR_PDC)
         assert phone == ZRLE  # smallest wire payload wins at 9600 bps
         # on loopback the wire is free; a pre-learned CPU price dominates
         costs = {ZRLE: 10.0, ZLIB: 10.0}
-        fast = best_encoding(state, packed,
-                             candidates=(HEXTILE, ZRLE, ZLIB, RAW),
-                             profile=LOOPBACK, encode_costs=costs)
+        fast, _ = best_encoding(state, packed,
+                                candidates=(HEXTILE, ZRLE, ZLIB, RAW),
+                                profile=LOOPBACK, encode_costs=costs)
         assert fast in (HEXTILE, RAW)  # priced-out codecs lose the fast leg
 
     def test_best_encoding_measures_encode_costs(self):
@@ -321,12 +359,26 @@ class TestEncodeCache:
     def test_best_encoding_caches_only_winner(self):
         state = EncoderState(RGB888)
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        winner = best_encoding(state, packed)
+        winner, payload = best_encoding(state, packed)
         assert len(state.cache) == 1  # losing candidates stayed out
-        assert state.cache.misses == 0
+        assert state.cache.misses == 1  # the winner's one real lookup
         hits = state.cache.hits
-        encode_rect(state, packed, winner)  # the real encode hits
+        assert encode_rect(state, packed, winner) == payload  # cached
         assert state.cache.hits == hits + 1
+
+    def test_best_encoding_caches_winning_zrle_tile_stream(self):
+        """A ZRLE winner's tile stream enters the cache as a real ZRLE
+        encode's would: a second session on the same cache reuses it."""
+        from repro.uip import EncodeCache
+        cache = EncodeCache()
+        packed = RGB888.pack_array(panel_bitmap().pixels)
+        winner, _ = best_encoding(EncoderState(RGB888, cache=cache),
+                                  packed, candidates=(ZRLE, RAW))
+        assert winner == ZRLE
+        assert len(cache) == 1
+        hits = cache.hits
+        encode_rect(EncoderState(RGB888, cache=cache), packed, ZRLE)
+        assert cache.hits == hits + 1
 
     def test_renegotiate_preserves_cache(self):
         packed888 = RGB888.pack_array(panel_bitmap().pixels)
@@ -423,6 +475,37 @@ class TestCompressionTiers:
         # tier 0 (no RLE) and tier 2 (RLE) built different tile streams;
         # a shared key would have served tier 0's stream to tier 2
         assert len(cache) == 2
+
+    def test_zrle_tile_streams_shared_by_rle_tiers(self):
+        """Tiers 1 and 2 build identical ZRLE tile streams (both search
+        the RLE subencodings), so sessions at either tier share them
+        through one cache; tier 0's no-RLE stream never serves them."""
+        from repro.uip.encodings import EncodeCache
+        cache = EncodeCache()
+        tiers = {t: EncoderState(RGB888, cache=cache, tier=t)
+                 for t in (0, 1, 2)}
+        decoders = {t: DecoderState(RGB888) for t in (1, 2)}
+        first = RGB888.pack_array(panel_bitmap(96, 64).pixels)
+        second = RGB888.pack_array(panel_bitmap(80, 64).pixels)
+        for builder, reader, packed in ((1, 2, first), (2, 1, second)):
+            for tier in (builder, reader):
+                hits = cache.hits
+                payload = encode_rect(tiers[tier], packed, ZRLE)
+                out = decode_rect(decoders[tier], Cursor(payload),
+                                  packed.shape[1], packed.shape[0], ZRLE)
+                assert np.array_equal(out, packed)
+            assert cache.hits == hits + 1  # the reader hit
+        assert len(cache) == 2
+        # tier 0 misses on both RLE streams, and its own stream (built
+        # first here, on fresh pixels) never satisfies an RLE tier
+        third = RGB888.pack_array(panel_bitmap(64, 64).pixels)
+        misses = cache.misses
+        for packed in (first, second, third):
+            encode_rect(tiers[0], packed, ZRLE)
+        assert cache.misses == misses + 3
+        encode_rect(tiers[1], third, ZRLE)
+        assert cache.misses == misses + 4
+        assert len(cache) == 6
 
     def test_zrle_caches_tile_stream_not_payload(self):
         """Unlike ZLIB (never cached), ZRLE caches the position-independent
